@@ -37,6 +37,13 @@ Value encoding is a minimal tagged scheme (None/bool/int/float/str/
 bytes/list/dict/ndarray).  Dict insertion order is preserved, floats are
 IEEE-754 binary64 verbatim, so ``encode(decode(b)) == b`` for every
 well-formed buffer — the property tests pin this round trip.
+
+Incremental encoding: a :class:`Packed` value is bytes that are already
+a packed value, and :func:`pack_value` splices them verbatim wherever
+they sit in a tree, so a writer that re-commits mostly-unchanged state
+packs each immutable part once.  :class:`PackedList` keeps an
+append-only list in packed form.  Both produce exactly the bytes the
+plain value would, so the format never learns that a splice happened.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +71,8 @@ __all__ = [
     "KIND_TELEMETRY",
     "KIND_GENERIC",
     "KIND_NAMES",
+    "Packed",
+    "PackedList",
     "pack_value",
     "unpack_value",
     "encode_record",
@@ -158,12 +167,63 @@ _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
 
+class Packed(bytes):
+    """Bytes that already are one packed value, spliced verbatim.
+
+    ``Packed(pack_value(x))`` packs exactly like ``x`` anywhere inside a
+    value tree, so a part of a record that never changes is packed once
+    and its bytes reused by every later encode.  Decoding never yields a
+    ``Packed``: the splice leaves no trace in the format.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, obj: Any) -> "Packed":
+        return cls(pack_value(obj))
+
+
+class PackedList:
+    """An append-only list held in packed form.
+
+    :meth:`extend` packs only the new items; :meth:`packed` frames the
+    whole list as a :class:`Packed` splice without re-packing the items
+    already held.  Suits logs that only ever grow (completion order,
+    state-machine transitions) and the settled prefix of a list whose
+    items stop changing in order.
+    """
+
+    __slots__ = ("_body", "_count")
+
+    def __init__(self) -> None:
+        self._body = bytearray()
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def extend(self, items: Iterable[Any]) -> None:
+        for item in items:
+            _pack_into(item, self._body)
+            self._count += 1
+
+    def packed(self, tail: Sequence[Any] = ()) -> Packed:
+        """The held items, then ``tail`` (packed into this result only)."""
+        buf = bytearray(_T_LIST)
+        buf += _U32.pack(self._count + len(tail))
+        buf += self._body
+        for item in tail:
+            _pack_into(item, buf)
+        return Packed(buf)
+
+
 def pack_value(obj: Any, out: bytearray | None = None) -> bytes:
     """Encode one value to packed bytes (no frame).
 
     Deterministic: equal values (same types, same dict order) always
     produce equal bytes.  Tuples encode as lists; numpy scalars as their
-    Python equivalents; ndarrays carry dtype + shape + raw data.
+    Python equivalents; ndarrays carry dtype + shape + raw data;
+    :class:`Packed` values are spliced verbatim.
     """
     buf = bytearray() if out is None else out
     _pack_into(obj, buf)
@@ -196,6 +256,9 @@ def _pack_into(obj: Any, buf: bytearray) -> None:
         buf += _U32.pack(len(raw))
         buf += raw
     elif isinstance(obj, (bytes, bytearray, memoryview)):
+        if type(obj) is Packed:
+            buf += obj
+            return
         raw = bytes(obj)
         buf += _T_BYTES
         buf += _U32.pack(len(raw))

@@ -102,9 +102,13 @@ class CampaignCheckpoint:
     makespan_s: float = 0.0
     checkpoints_committed: int = 0
     preemptions: int = 0
-    completion_order: list[int] = field(default_factory=list)
+    #: A live commit hands the parts of the state that only grow over
+    #: already packed (:class:`repro.codec.Packed`): ``completion_order``,
+    #: ``terminal`` and the brownout transitions.  A restored checkpoint
+    #: holds plain values; both encode to the same bytes.
+    completion_order: list[int] | codec.Packed = field(default_factory=list)
     #: ``RequestRecord.to_json()`` dicts, split by lifecycle class.
-    terminal: list[dict] = field(default_factory=list)
+    terminal: list[dict] | codec.Packed = field(default_factory=list)
     pending: list[dict] = field(default_factory=list)
     #: Per-worker ``{"resident": key-or-None, "busy_s": float, ...}``.
     workers: list[dict] = field(default_factory=list)
@@ -146,10 +150,13 @@ class CampaignCheckpoint:
     tenancy: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
-    # Deterministic serialization (PR-2 recipe: magic + JSON + checksum)
+    # Deterministic serialization: one packed, CRC-framed codec record
     # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
+        """The record body.  Fields are shared, not copied: the dict
+        exists to be encoded, and a packed splice must pass through
+        untouched."""
         return {
             "time_s": self.time_s,
             "arrivals_consumed": self.arrivals_consumed,
@@ -158,21 +165,21 @@ class CampaignCheckpoint:
             "makespan_s": self.makespan_s,
             "checkpoints_committed": self.checkpoints_committed,
             "preemptions": self.preemptions,
-            "completion_order": list(self.completion_order),
-            "terminal": list(self.terminal),
-            "pending": list(self.pending),
-            "workers": list(self.workers),
+            "completion_order": self.completion_order,
+            "terminal": self.terminal,
+            "pending": self.pending,
+            "workers": self.workers,
             "tunecache": self.tunecache,
-            "drain": dict(self.drain),
-            "arrival_rate": dict(self.arrival_rate),
-            "elastic": dict(self.elastic),
-            "health": dict(self.health),
-            "brownout": dict(self.brownout),
-            "hedges": dict(self.hedges),
+            "drain": self.drain,
+            "arrival_rate": self.arrival_rate,
+            "elastic": self.elastic,
+            "health": self.health,
+            "brownout": self.brownout,
+            "hedges": self.hedges,
             "workers_killed": self.workers_killed,
-            "domain_health": dict(self.domain_health),
-            "domains": dict(self.domains),
-            "tenancy": dict(self.tenancy),
+            "domain_health": self.domain_health,
+            "domains": self.domains,
+            "tenancy": self.tenancy,
         }
 
     @classmethod
@@ -260,7 +267,10 @@ class CampaignCheckpointStore:
         return len(self._blobs)
 
     def commit(self, checkpoint: CampaignCheckpoint) -> None:
-        blob = checkpoint.to_bytes()
+        self.commit_blob(checkpoint.to_bytes())
+
+    def commit_blob(self, blob: bytes) -> None:
+        """Commit an already-encoded checkpoint."""
         self._blobs.append(blob)
         del self._blobs[:-2]  # latest + one verified fallback
         self.committed += 1
@@ -333,10 +343,19 @@ class MirroredCheckpointStore:
         return max(len(self.primary), len(self.mirror))
 
     def commit(self, checkpoint: CampaignCheckpoint) -> None:
-        if self.primary_domain not in self.lost:
-            self.primary.commit(checkpoint)
-        if self.mirror_domain not in self.lost:
-            self.mirror.commit(checkpoint)
+        """Encode once; every live replica stores the same blob."""
+        live = [
+            store
+            for store, domain in (
+                (self.primary, self.primary_domain),
+                (self.mirror, self.mirror_domain),
+            )
+            if domain not in self.lost
+        ]
+        if live:
+            blob = checkpoint.to_bytes()
+            for store in live:
+                store.commit_blob(blob)
         self.committed += 1
 
     def lose_domain(self, node: int) -> None:

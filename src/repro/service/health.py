@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import codec
+
 __all__ = [
     "HEALTHY",
     "QUARANTINED",
@@ -602,6 +604,7 @@ class BrownoutController:
         self.level = BROWNOUT_NORMAL
         #: ``(time_s, level, pressure_s)`` — every level change.
         self.transitions: list[tuple[float, int, float]] = []
+        self._packed_log = codec.PackedList()
         self.shed = 0
         self.brownout_rejected = 0
 
@@ -657,13 +660,24 @@ class BrownoutController:
     # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
+        return self._json([[t, level, p] for t, level, p in self.transitions])
+
+    def packed_json(self) -> dict:
+        """:meth:`to_json` with the transition log as a packed splice.
+
+        Only transitions appended since the previous call are packed:
+        the log is append-only, so its packed prefix stays valid.
+        """
+        log = self._packed_log
+        log.extend([t, level, p] for t, level, p in self.transitions[len(log):])
+        return self._json(log.packed())
+
+    def _json(self, transitions) -> dict:
         return {
             "level": self.level,
             "shed": self.shed,
             "brownout_rejected": self.brownout_rejected,
-            "transitions": [
-                [t, level, p] for t, level, p in self.transitions
-            ],
+            "transitions": transitions,
         }
 
     @classmethod

@@ -59,6 +59,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterable, Iterator
 
+from .. import codec
 from ..comms.cluster import ClusterSpec, Topology
 from ..comms.faults import (
     DomainFaultPlan,
@@ -549,6 +550,12 @@ class _Campaign:
         self.resumed_batches = 0
         self.checkpoints_committed = 0
         self.batches_since_commit = 0
+        #: Packed checkpoint parts reused by every later commit: the
+        #: longest all-terminal prefix of ``records``, terminal records
+        #: beyond it (by index), and the completion log.
+        self._settled_log = codec.PackedList()
+        self._packed_terminal: dict[int, codec.Packed] = {}
+        self._completion_log = codec.PackedList()
         self.restored_requests = 0
         self.restored = False
         self.pending_up: set[int] = set()
@@ -740,6 +747,29 @@ class _Campaign:
         a well-defined lifecycle state; no event half-processed)."""
         if self.store is None:
             return
+        # Incremental encoding.  ``records`` is append-only and a terminal
+        # record never changes again, so each is packed once: records
+        # past the settled prefix keep their bytes in a cache until the
+        # prefix (all terminal, in order) reaches them.  The completion
+        # log only grows, so only its new tail is packed.
+        records = self.records
+        settled = self._settled_log
+        cache = self._packed_terminal
+        while len(settled) < len(records) and records[len(settled)].terminal:
+            i = len(settled)
+            settled.extend([cache.pop(i, None) or records[i].to_json()])
+        tail: list[codec.Packed] = []
+        pending: list[dict] = []
+        for i in range(len(settled), len(records)):
+            rec = records[i]
+            if rec.terminal:
+                if i not in cache:
+                    cache[i] = codec.Packed.of(rec.to_json())
+                tail.append(cache[i])
+            else:
+                pending.append(rec.to_json())
+        log = self._completion_log
+        log.extend(self.completion_order[len(log):])
         ckpt = CampaignCheckpoint(
             time_s=self.now,
             arrivals_consumed=self.arrivals_consumed,
@@ -748,9 +778,9 @@ class _Campaign:
             makespan_s=self.makespan,
             checkpoints_committed=self.checkpoints_committed + 1,
             preemptions=self.preemptions_total,
-            completion_order=list(self.completion_order),
-            terminal=[r.to_json() for r in self.records if r.terminal],
-            pending=[r.to_json() for r in self.records if not r.terminal],
+            completion_order=log.packed(),
+            terminal=settled.packed(tail),
+            pending=pending,
             workers=[w.state_json() for w in self.workers],
             tunecache=(
                 self.placement.tune_cache.to_json()
@@ -764,7 +794,9 @@ class _Campaign:
             ),
             health=self.board.to_json() if self.board is not None else {},
             brownout=(
-                self.brownout.to_json() if self.brownout is not None else {}
+                self.brownout.packed_json()
+                if self.brownout is not None
+                else {}
             ),
             hedges=(
                 {

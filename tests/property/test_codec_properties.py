@@ -5,6 +5,8 @@ The contract under test (the same one PR-3 enforces on the wire):
 * round trip is the identity — ``unpack(pack(v)) == v`` for every value
   the codec models, and ``pack`` is a fixed point of the round trip
   (``pack(unpack(b)) == b``), so records re-encode byte-identically;
+* a :class:`~repro.codec.Packed` splice packs exactly like the value it
+  holds, wherever it is nested, and never comes back out of a decode;
 * *every* damaged buffer fails loudly with a structured error — any
   truncation raises :class:`~repro.codec.TruncatedRecord` (or, for cuts
   that leave a self-consistent shorter frame, another codec error),
@@ -89,6 +91,54 @@ class TestRoundTrip:
             back = codec.unpack_value(codec.pack_value({"x": arr}))["x"]
             assert back.dtype == arr.dtype and back.shape == arr.shape
             np.testing.assert_array_equal(back, arr)
+
+
+def _splice_some(value, data):
+    """``value`` with randomly chosen subtrees replaced by their splices."""
+    if data.draw(st.booleans()):
+        return codec.Packed.of(value)
+    if isinstance(value, list):
+        return [_splice_some(v, data) for v in value]
+    if isinstance(value, dict):
+        return {k: _splice_some(v, data) for k, v in value.items()}
+    return value
+
+
+def _contains_splice(value) -> bool:
+    if isinstance(value, codec.Packed):
+        return True
+    if isinstance(value, list):
+        return any(_contains_splice(v) for v in value)
+    if isinstance(value, dict):
+        return any(_contains_splice(v) for v in value.values())
+    return False
+
+
+class TestSplice:
+    @given(_values, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_nested_splice_packs_like_its_value(self, value, data):
+        spliced = _splice_some(value, data)
+        packed = codec.pack_value(spliced)
+        assert packed == codec.pack_value(value)
+        assert not _contains_splice(codec.unpack_value(packed))
+        assert not _contains_splice(
+            codec.unpack_value(codec.Packed.of(spliced))
+        )
+
+    @given(st.lists(_values, max_size=8), st.lists(_values, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packed_list_extends_like_a_list(self, items, tail, data):
+        log = codec.PackedList()
+        held = 0
+        while held < len(items):
+            step = data.draw(st.integers(1, len(items) - held))
+            log.extend(items[held : held + step])
+            held += step
+        assert len(log) == len(items)
+        assert codec.pack_value(log.packed()) == codec.pack_value(items)
+        spliced_tail = [codec.Packed.of(v) for v in tail]
+        assert log.packed(spliced_tail) == codec.pack_value(items + tail)
 
 
 class TestCorruption:

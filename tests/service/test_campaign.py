@@ -1,12 +1,15 @@
 """Campaign checkpoint serialization: the PR-2 recipe, one level up."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro import codec
 from repro.service import (
     CampaignCheckpoint,
     CampaignCheckpointStore,
+    MirroredCheckpointStore,
     RequestRecord,
     SolveRequest,
     StructuredFailure,
@@ -106,6 +109,28 @@ class TestCheckpointBytes:
     def test_bytes_deterministic(self):
         assert _checkpoint().to_bytes() == _checkpoint().to_bytes()
 
+    def test_restored_checkpoint_re_encodes_identically(self):
+        blob = _checkpoint().to_bytes()
+        assert CampaignCheckpoint.from_bytes(blob).to_bytes() == blob
+
+    def test_packed_parts_encode_like_plain_values(self):
+        """A live commit hands over its append-only parts pre-packed."""
+        plain = _checkpoint(
+            brownout={"level": 1, "transitions": [[1e-3, 1, 5e-3]]}
+        )
+        settled = codec.PackedList()
+        settled.extend(plain.terminal[:2])
+        spliced = replace(
+            plain,
+            completion_order=codec.Packed.of(plain.completion_order),
+            terminal=settled.packed([codec.Packed.of(plain.terminal[2])]),
+            brownout={
+                "level": 1,
+                "transitions": codec.Packed.of([[1e-3, 1, 5e-3]]),
+            },
+        )
+        assert spliced.to_bytes() == plain.to_bytes()
+
     def test_bad_magic_rejected(self):
         blob = bytearray(_checkpoint().to_bytes())
         blob[0] ^= 0xFF
@@ -169,3 +194,37 @@ class TestCheckpointStore:
         path = tmp_path / "campaign.ckpt"
         path.write_bytes(b"garbage that is not a checkpoint")
         assert CampaignCheckpointStore.load(str(path)).latest() is None
+
+
+class TestMirroredCommit:
+    def _counting_encode(self, monkeypatch) -> list[int]:
+        calls = [0]
+        real = codec.encode_record
+
+        def encode_record(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "encode_record", encode_record)
+        return calls
+
+    def test_one_encode_per_commit_and_equal_replicas(self, monkeypatch):
+        calls = self._counting_encode(monkeypatch)
+        store = MirroredCheckpointStore(primary_domain=0, mirror_domain=1)
+        for i in range(3):
+            store.commit(_checkpoint(checkpoints_committed=i))
+            assert calls[0] == i + 1
+            assert store.primary._blobs[-1] == store.mirror._blobs[-1]
+        assert store.committed == 3
+
+    def test_lost_replica_receives_nothing(self, monkeypatch):
+        calls = self._counting_encode(monkeypatch)
+        store = MirroredCheckpointStore(primary_domain=0, mirror_domain=1)
+        store.lose_domain(0)
+        store.commit(_checkpoint())
+        assert calls[0] == 1
+        assert len(store.primary) == 0 and len(store.mirror) == 1
+        store.lose_domain(1)
+        store.commit(_checkpoint())
+        assert calls[0] == 1
+        assert store.committed == 2

@@ -8,12 +8,16 @@ BLAS vs PCIe vs waiting on the network).
 
 The second half of the module profiles the *host*, not the model:
 :func:`hotspot_profile` runs the saturated scheduler campaign under
-``cProfile`` with per-phase wall-time attribution — the evidence trail
-behind the raw-speed refactor (``repro profile --hotspots``).
+``cProfile`` — on the main thread and on every SimMPI rank thread — with
+per-phase wall-time attribution: the evidence trail behind the raw-speed
+refactor (``repro profile --hotspots``).
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..gpu.streams import TimelineOp
@@ -141,7 +145,10 @@ def hotspot_profile(
     the same workload the throughput benchmark times) under ``cProfile``
     and reports the top ``top`` functions by cumulative wall time plus a
     per-phase attribution (workload build / campaign / report render /
-    packed-record encode), each phase timed with ``perf_counter``.
+    packed-record encode), each phase timed with ``perf_counter``.  The
+    function rows merge the main thread with every SimMPI rank thread the
+    campaign starts, so rank work shows up, not just the main thread's
+    wait on it.
 
     ``fast`` pins the :mod:`repro.fastpath` switch for the run (``None``
     keeps the process's current setting), so ``--hotspots`` can show
@@ -168,9 +175,10 @@ def hotspot_profile(
         phases.append(("build workload + service", t1 - t0))
 
         profiler = cProfile.Profile()
-        profiler.enable()
-        campaign = service.run(workload)
-        profiler.disable()
+        with _thread_profilers() as thread_profilers:
+            profiler.enable()
+            campaign = service.run(workload)
+            profiler.disable()
         t2 = _time.perf_counter()
         phases.append(("run campaign (profiled)", t2 - t1))
 
@@ -185,6 +193,8 @@ def hotspot_profile(
         fastpath.set_enabled(before)
 
     stats = pstats.Stats(profiler)
+    for thread_profiler in thread_profilers:
+        stats.add(thread_profiler)
     stats.sort_stats("cumulative")
     total_s = t4 - t0
     rows = []
@@ -220,6 +230,35 @@ def hotspot_profile(
         ],
         "hotspots": rows,
     }
+
+
+@contextmanager
+def _thread_profilers():
+    """Give every thread started inside the block its own ``cProfile``.
+
+    ``cProfile`` sees only the thread that enabled it.  The hook below runs
+    first thing in each new thread (the SimMPI rank threads) and enables a
+    profiler there, which replaces the hook for that thread.  Yields the
+    list the profilers are collected in.
+    """
+    import cProfile
+
+    profilers: list = []
+
+    def start(frame, event, arg):
+        prof = cProfile.Profile()
+        try:
+            prof.enable()
+        except ValueError:  # one profiler already sees every thread
+            sys.setprofile(None)
+            return
+        profilers.append(prof)
+
+    threading.setprofile(start)
+    try:
+        yield profilers
+    finally:
+        threading.setprofile(None)
 
 
 def render_hotspots(prof: dict) -> str:

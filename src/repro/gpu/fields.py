@@ -293,6 +293,12 @@ class DeviceGaugeField:
     Section VI-B; it is transferred once at initialization because "the
     link matrices are constant throughout the execution of the linear
     solver".
+
+    The same constancy lets the field decode each direction's links once:
+    :meth:`links` and :meth:`ghost_links` cache their (read-only) result,
+    and ``plans`` holds the dslash kernel's per-configuration stencil
+    plans (:func:`repro.gpu.kernels.stencil_plan`).  :meth:`set`,
+    :meth:`set_ghost` and :meth:`release` drop all of them.
     """
 
     gpu: VirtualGPU
@@ -355,6 +361,13 @@ class DeviceGaugeField:
             )
             for mu, n in self.ghosts.items()
         }
+        self._drop_caches()
+
+    def _drop_caches(self) -> None:
+        """Forget every decoded copy and stencil plan (the links changed)."""
+        self._links: dict[int, np.ndarray] = {}
+        self._ghost_links: dict[int, np.ndarray] = {}
+        self.plans: dict[tuple, object] = {}
 
     @property
     def nbytes(self) -> int:
@@ -396,13 +409,16 @@ class DeviceGaugeField:
             return
         if data.shape != (4, self.sites, 3, 3):
             raise ValueError(f"expected {(4, self.sites, 3, 3)}, got {data.shape}")
+        self._drop_caches()
         for mu in range(4):
             self._store.array[mu] = self._encode(data[mu])
 
     def links(self, mu: int) -> np.ndarray:
         """Full (reconstructed, decoded) link matrices for direction mu."""
         self._require_execute()
-        return self._decode(self._store.array[mu])
+        if mu not in self._links:
+            self._links[mu] = _read_only(self._decode(self._store.array[mu]))
+        return self._links[mu]
 
     def set_ghost(self, links: np.ndarray, mu: int = T_DIR) -> None:
         """Store the ``mu`` gauge ghost slice (done once at init)."""
@@ -411,12 +427,15 @@ class DeviceGaugeField:
         n = self.ghosts[mu]
         if links.shape != (n, 3, 3):
             raise ValueError(f"expected {(n, 3, 3)}, got {links.shape}")
+        self._drop_caches()
         self._ghost[mu][...] = self._encode(links)
 
     def ghost_links(self, mu: int = T_DIR) -> np.ndarray:
         """The decoded ghost slice (U_mu of the -mu neighbor's last slice)."""
         self._require_execute()
-        return self._decode(self._ghost[mu])
+        if mu not in self._ghost_links:
+            self._ghost_links[mu] = _read_only(self._decode(self._ghost[mu]))
+        return self._ghost_links[mu]
 
     def ghost_message_bytes(self, mu: int = T_DIR) -> int:
         reals = GAUGE_REALS_COMPRESSED if self.compressed else GAUGE_REALS_FULL
@@ -428,6 +447,7 @@ class DeviceGaugeField:
 
     def release(self) -> None:
         self.gpu.free(self._store)
+        self._drop_caches()
 
 
 @dataclass
@@ -436,7 +456,9 @@ class DeviceCloverField:
 
     Stored as the packed 72 reals per site (paper footnote 1); half
     precision quantizes the packed block with a shared per-site norm, as
-    QUDA does.
+    QUDA does.  The blocks are constant for an operator's life, so the
+    half-precision decode runs once; :meth:`set` and :meth:`release` drop
+    the decoded copy.
     """
 
     gpu: VirtualGPU
@@ -467,6 +489,7 @@ class DeviceCloverField:
                 f"{self.gpu.name}:{self.label}[{self.precision.name.lower()}]",
             )
             self._norms = None
+        self._blocks: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
@@ -484,6 +507,7 @@ class DeviceCloverField:
             return
         if blocks.shape != (self.sites, 2, 6, 6):
             raise ValueError(f"expected {(self.sites, 2, 6, 6)}, got {blocks.shape}")
+        self._blocks = None
         if self.precision.needs_norm:
             packed = _pack_blocks(blocks)
             self._store.array[...], self._norms[...] = quantize_block(packed)
@@ -493,10 +517,14 @@ class DeviceCloverField:
     def blocks(self) -> np.ndarray:
         """Decoded chiral blocks in compute dtype."""
         self._require_execute()
-        if self.precision.needs_norm:
+        if not self.precision.needs_norm:
+            return self._store.array
+        if self._blocks is None:
             packed = dequantize_block(self._store.array, self._norms)
-            return _unpack_blocks(packed.astype(np.float64)).astype(np.complex64)
-        return self._store.array
+            self._blocks = _read_only(
+                _unpack_blocks(packed.astype(np.float64)).astype(np.complex64)
+            )
+        return self._blocks
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Blockwise apply to spinor data ``(sites, 4, 3)``."""
@@ -520,6 +548,15 @@ class DeviceCloverField:
 
     def release(self) -> None:
         self.gpu.free(self._store)
+        self._blocks = None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a cached decode, so no caller edits the shared
+    copy (for uncompressed float links it is the store itself)."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _pack_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -17,6 +17,14 @@ even-odd preconditioned matrix application move 744 reals (= 2976 bytes
 single precision) and execute 3696 flops per site — the numbers of
 Section V-A.
 
+The dslash numerics run from a :class:`StencilPlan` per operator and
+configuration: the neighbor indices, phases, links (backward ones already
+adjointed), projectors and ghost-row bookkeeping are constant for a
+solve — "the link matrices are constant throughout the execution of the
+linear solver" (Section VI-B) — so they are gathered once, and a call is
+one source gather plus two batched matmuls per pass of at most
+``ROWS_PER_PASS`` rows.
+
 Kernel regions implement the overlap strategy of Section VI-D: the
 *interior* region touches no ghost data and can run while faces are in
 flight; the *boundary* region (the local boundary slices of every
@@ -57,6 +65,8 @@ __all__ = [
     "FaceTables",
     "dslash_tables",
     "dslash_table_counts",
+    "StencilPlan",
+    "stencil_plan",
     "dslash_kernel",
     "clover_kernel",
     "gather_face_kernel",
@@ -155,40 +165,6 @@ class DslashTables:
                 f"{PARTITIONABLE})"
             ) from None
 
-    # -- legacy temporal-only accessors (the paper's decomposition) ------- #
-
-    @property
-    def on_first(self) -> np.ndarray:
-        return self.face(T_DIR).on_low
-
-    @property
-    def on_last(self) -> np.ndarray:
-        return self.face(T_DIR).on_high
-
-    @property
-    def gather_first(self) -> np.ndarray:
-        return self.face(T_DIR).gather_low
-
-    @property
-    def gather_last(self) -> np.ndarray:
-        return self.face(T_DIR).gather_high
-
-    @property
-    def face_sites(self) -> int:
-        return self.face(T_DIR).gather_low.size
-
-    @property
-    def interior_rows(self) -> np.ndarray:
-        return self.rows_for("interior", (T_DIR,))
-
-    @property
-    def boundary_rows(self) -> np.ndarray:
-        return self.rows_for("boundary", (T_DIR,))
-
-    @property
-    def all_rows(self) -> np.ndarray:
-        return self.rows_for("full", (T_DIR,))
-
     # -- region row sets --------------------------------------------------- #
 
     def rows_for(self, region: str, dirs: tuple[int, ...]) -> np.ndarray:
@@ -216,10 +192,6 @@ class DslashTables:
             self._rows_cache[key] = rows
         return self._rows_cache[key]
 
-    def rows(self, region: str) -> np.ndarray:
-        """Legacy temporal-only region rows."""
-        return self.rows_for(region, (T_DIR,))
-
 
 @dataclass(frozen=True)
 class _SizedRows:
@@ -244,18 +216,6 @@ class DslashTableCounts:
     def face_half_sites(self, mu: int) -> int:
         return self.geometry.face_half_sites(mu)
 
-    @property
-    def face_sites(self) -> int:
-        return self.face_half_sites(T_DIR)
-
-    @property
-    def gather_first(self) -> _SizedRows:
-        return _SizedRows(self.face_sites)
-
-    @property
-    def gather_last(self) -> _SizedRows:
-        return _SizedRows(self.face_sites)
-
     def rows_for(self, region: str, dirs: tuple[int, ...]) -> _SizedRows:
         if region not in REGIONS:
             raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
@@ -273,9 +233,6 @@ class DslashTableCounts:
         if region == "interior":
             return _SizedRows(interior)
         return _SizedRows(self.n_sites - interior)
-
-    def rows(self, region: str) -> _SizedRows:
-        return self.rows_for(region, (T_DIR,))
 
 
 @lru_cache(maxsize=64)
@@ -480,6 +437,151 @@ def gather_face_kernel(
 
 
 # ---------------------------------------------------------------------- #
+# Stencil plans
+# ---------------------------------------------------------------------- #
+
+#: The eight stencil slots in accumulation order: for mu = 0..3 the
+#: forward neighbor, then the backward one.  Every slot's ``+=`` rounds to
+#: the compute dtype, so this order is part of the kernel's result.
+SLOTS = tuple((mu, d) for mu in range(NDIM) for d in (FORWARD, BACKWARD))
+
+#: Target rows per pass of the kernel.  Each pass's temporaries stay near
+#: 400 KB, a size the allocator keeps reusing; one pass over 2048 rows
+#: (3 MB temporaries) page-faults fresh memory in on every call instead.
+#: Every product is row-local, so the pass size never changes a result.
+ROWS_PER_PASS = 256
+
+
+@dataclass(frozen=True)
+class GhostSlot:
+    """The rows of one stencil slot whose neighbor is on another rank."""
+
+    slot: int
+    mu: int
+    #: End-zone face feeding the slot (FORWARD: the +mu neighbor's face).
+    direction: str
+    #: Positions (ascending) within the plan's rows, and within the face.
+    sel: np.ndarray
+    pos: np.ndarray
+    #: Transposed ``U_mu(x)`` (forward) or adjoint ghost link (backward).
+    links_t: np.ndarray
+    #: Transposed half-spinor reconstruction ``R`` of the slot's projector.
+    recon_t: np.ndarray
+    #: Boundary phases of the rows, shaped to broadcast over (4, 3).
+    phase: np.ndarray
+
+
+@dataclass(frozen=True)
+class StencilPlan:
+    """Everything about one dslash configuration that no call changes.
+
+    The CUDA kernel derives its indexing from constants (Section V-A) and
+    treats the links as fixed for the solver's life (Section VI-B); this
+    is the same constancy, taken once per operator instead of per call.
+    Arrays run over the region's target rows (``tables.rows_for``).
+    """
+
+    #: (rows, 8) source-parity cb index of each slot's neighbor.
+    nbr: np.ndarray
+    #: (rows, 8, 1, 1) float64 boundary phases.
+    phase: np.ndarray
+    #: (rows, 8, 3, 3) complex128 transposed links, backward ones adjointed.
+    links_t: np.ndarray
+    #: (8, 4, 4) complex128 transposed spin projectors.
+    proj_t: np.ndarray
+    ghosts: tuple[GhostSlot, ...]
+
+
+def stencil_plan(
+    tables: DslashTables,
+    gauge: DeviceGaugeField,
+    *,
+    region: str,
+    dirs: tuple[int, ...],
+    sgn: int,
+    basis: str,
+) -> StencilPlan:
+    """The gauge field's plan for one configuration, built on first use.
+
+    Keyed by value — (geometry, target parity, region, partitioned dirs,
+    dagger sign, basis) — and dropped whenever the links are rewritten.
+    """
+    key = (tables.geometry, tables.target_parity, region, dirs, sgn, basis)
+    plan = gauge.plans.get(key)
+    if plan is None:
+        plan = gauge.plans[key] = _build_plan(tables, gauge, region, dirs, sgn, basis)
+    return plan
+
+
+def _build_plan(tables, gauge, region, dirs, sgn, basis) -> StencilPlan:
+    rows = tables.rows_for(region, dirs)
+    tgt = tables.tgt_sites[rows]
+    nbr, phase, links, proj, ghosts = [], [], [], [], []
+    for slot, (mu, direction) in enumerate(SLOTS):
+        u_mu = gauge.links(mu)
+        forward = direction == FORWARD
+        p_sign = -sgn if forward else +sgn
+        if forward:
+            nbr.append(tables.nbr_fwd[mu][rows])
+            ph = tables.ph_fwd[mu][rows]
+            links.append(u_mu[tgt])
+        else:
+            nbr.append(tables.nbr_bwd[mu][rows])
+            ph = tables.ph_bwd[mu][rows]
+            links.append(su3.adjoint(u_mu[tables.bwd_sites[mu][rows]]))
+        phase.append(ph)
+        proj.append(_gamma.projector(mu, p_sign, basis).T)
+        if mu not in dirs:
+            continue
+        f = tables.face(mu)
+        face_mask = f.on_high if forward else f.on_low
+        on_face = face_mask[rows]
+        if not on_face.any():
+            continue
+        # The k-th target-parity site on the boundary slice (cb order)
+        # pairs with the k-th ghost entry (Fig. 3, per direction).
+        pos = (np.cumsum(face_mask) - 1)[rows[on_face]]
+        ghost_links = (
+            u_mu[tgt[on_face]]
+            if forward
+            else su3.adjoint(gauge.ghost_links(mu)[f.gauge_pos_low[pos]])
+        )
+        ghosts.append(
+            GhostSlot(
+                slot=slot,
+                mu=mu,
+                direction=direction,
+                sel=np.nonzero(on_face)[0],
+                pos=pos,
+                links_t=np.swapaxes(ghost_links, -1, -2),
+                recon_t=_gamma.projector_decomposition(mu, p_sign, basis)[1].T,
+                phase=ph[on_face][:, None, None],
+            )
+        )
+    return StencilPlan(
+        nbr=np.stack(nbr, axis=1),
+        phase=np.stack(phase, axis=1)[:, :, None, None],
+        links_t=np.stack(
+            [np.swapaxes(u, -1, -2) for u in links], axis=1
+        ).astype(np.complex128),
+        proj_t=np.stack(proj),
+        ghosts=tuple(ghosts),
+    )
+
+
+def _ghost_rows(g: GhostSlot, src: DeviceSpinorField, cdtype) -> np.ndarray:
+    """``ph * R (halves U^T)`` for one ghost slot's rows, laid out (a, x, s).
+
+    The half-spinor face finishes the rows whose neighbor is remote, with
+    the products einsum issues for "xab,xhb->xha" and "sh,xha->xsa".
+    """
+    halves = src.get_ghost(g.direction, mu=g.mu)[g.pos].astype(cdtype)
+    u_h = halves @ g.links_t  # (x, h, a)
+    r_uh = u_h.transpose(0, 2, 1).reshape(-1, 2) @ g.recon_t  # ((x, a), s)
+    return (g.phase * r_uh.reshape(-1, 3, 4)).transpose(1, 0, 2)
+
+
+# ---------------------------------------------------------------------- #
 # The dslash kernel
 # ---------------------------------------------------------------------- #
 
@@ -543,65 +645,33 @@ def dslash_kernel(
     if not gpu.execute or rows.size == 0:
         return
 
-    basis = src.basis
-    sgn = -1 if dagger else +1
-    body = src.working()
+    plan = stencil_plan(
+        tables, gauge, region=region, dirs=dirs, sgn=-1 if dagger else +1,
+        basis=src.basis,
+    )
     cdtype = src.precision.complex_compute_dtype
-    out = np.zeros((rows.size, 4, 3), dtype=cdtype)
-
-    for mu in range(NDIM):
-        p_minus = _gamma.projector(mu, -sgn, basis)
-        p_plus = _gamma.projector(mu, +sgn, basis)
-        ph_f = tables.ph_fwd[mu][rows]
-        ph_b = tables.ph_bwd[mu][rows]
-        u_mu = gauge.links(mu)
-
-        if mu not in dirs:
-            # Plain local periodic wrap.
-            u_here = u_mu[tables.tgt_sites[rows]]
-            psi_f = body[tables.nbr_fwd[mu][rows]] * ph_f[:, None, None]
-            out += np.einsum("st,xab,xtb->xsa", p_minus, u_here, psi_f, optimize=True)
-            u_back = su3.adjoint(u_mu[tables.bwd_sites[mu][rows]])
-            psi_b = body[tables.nbr_bwd[mu][rows]] * ph_b[:, None, None]
-            out += np.einsum("st,xab,xtb->xsa", p_plus, u_back, psi_b, optimize=True)
-            continue
-
-        f = tables.face(mu)
-        on_low = f.on_low[rows]
-        on_high = f.on_high[rows]
-        # Forward gather, local part (everything not on the high slice).
-        loc = ~on_high
-        u_here = u_mu[tables.tgt_sites[rows[loc]]]
-        psi_f = body[tables.nbr_fwd[mu][rows[loc]]] * ph_f[loc][:, None, None]
-        out[loc] += np.einsum("st,xab,xtb->xsa", p_minus, u_here, psi_f, optimize=True)
-        # Forward gather from the +mu ghost: R(-mu) [U_mu(x) @ Q(-mu) psi].
-        if np.any(on_high):
-            _, r_minus = _gamma.projector_decomposition(mu, -sgn, basis)
-            pos = _positions_within(f.on_high, rows, on_high)
-            halves = src.get_ghost(FORWARD, mu=mu)[pos].astype(cdtype)
-            u_here = u_mu[tables.tgt_sites[rows[on_high]]]
-            u_h = np.einsum("xab,xhb->xha", u_here, halves, optimize=True)
-            out[on_high] += ph_f[on_high][:, None, None] * np.einsum(
-                "sh,xha->xsa", r_minus, u_h, optimize=True
-            )
-        # Backward gather, local part.
-        loc = ~on_low
-        u_back = su3.adjoint(u_mu[tables.bwd_sites[mu][rows[loc]]])
-        psi_b = body[tables.nbr_bwd[mu][rows[loc]]] * ph_b[loc][:, None, None]
-        out[loc] += np.einsum("st,xab,xtb->xsa", p_plus, u_back, psi_b, optimize=True)
-        # Backward gather from the -mu ghost: R(+mu) [U_ghost^dag @ Q(+mu)
-        # psi], the ghost links from the neighbor's high slice
-        # (Section VI-B, generalized per direction).
-        if np.any(on_low):
-            _, r_plus = _gamma.projector_decomposition(mu, +sgn, basis)
-            pos = _positions_within(f.on_low, rows, on_low)
-            halves = src.get_ghost(BACKWARD, mu=mu)[pos].astype(cdtype)
-            gpos = f.gauge_pos_low[_mask_rank(f.on_low, rows[on_low])]
-            u_back = su3.adjoint(gauge.ghost_links(mu)[gpos])
-            u_h = np.einsum("xab,xhb->xha", u_back, halves, optimize=True)
-            out[on_low] += ph_b[on_low][:, None, None] * np.einsum(
-                "sh,xha->xsa", r_plus, u_h, optimize=True
-            )
+    n = rows.size
+    body = src.working()
+    ghost_rows = [_ghost_rows(g, src, cdtype) for g in plan.ghosts]
+    out = np.zeros((n, 4, 3), dtype=cdtype)
+    for lo in range(0, n, ROWS_PER_PASS):
+        hi = min(lo + ROWS_PER_PASS, n)
+        m = hi - lo
+        # The products below are the ones NumPy's optimized einsum issues
+        # for the per-direction contraction "st,xab,xtb->xsa", in the same
+        # operand order and layout, so the result is bit-identical to it.
+        # U psi runs in complex128: the float64 +-1 phases promote the source.
+        psi = body[plan.nbr[lo:hi]] * plan.phase[lo:hi]
+        u_psi = psi @ plan.links_t[lo:hi]  # (x, slot, t, a)
+        # P (U psi) as one (3m, 4) @ (4, 4) product per slot, rows (a, x).
+        lhs = u_psi.transpose(1, 3, 0, 2).reshape(8, 3 * m, 4)
+        hop = (lhs @ plan.proj_t).reshape(8, 3, m, 4)  # (slot, a, x, s)
+        for g, val in zip(plan.ghosts, ghost_rows):
+            i, j = np.searchsorted(g.sel, (lo, hi))
+            hop[g.slot][:, g.sel[i:j] - lo] = val[:, i:j]
+        # One rounding += per slot into the compute dtype, in slot order.
+        for slot in hop:
+            out[lo:hi] += slot.transpose(1, 2, 0)
 
     # ----- fused epilogue: clover multiply and accumulate ---------------- #
     if clover is not None and clover_target == "result":
@@ -622,25 +692,6 @@ def dslash_kernel(
         merged = np.array(dst.working(), dtype=cdtype, copy=True)
         merged[rows] = out
         dst.set_working(merged)
-
-
-def _positions_within(face_mask: np.ndarray, rows: np.ndarray, sub_mask: np.ndarray) -> np.ndarray:
-    """Ghost-array positions of the selected boundary targets.
-
-    The ghost face is ordered by the boundary slice's lex enumeration; the
-    k-th target-parity site on the slice (in cb order) pairs with the k-th
-    ghost entry (the ordering argument of Fig. 3, per direction).  Given
-    the full boundary mask over all target rows and the subset actually
-    processed (``rows[sub_mask]``), return each one's ordinal on the face.
-    """
-    ordinal = np.cumsum(face_mask) - 1  # per target row: rank on the face
-    return ordinal[rows[sub_mask]]
-
-
-def _mask_rank(face_mask: np.ndarray, selected_rows: np.ndarray) -> np.ndarray:
-    """Ordinal of ``selected_rows`` among the True entries of ``face_mask``."""
-    ordinal = np.cumsum(face_mask) - 1
-    return ordinal[selected_rows]
 
 
 def clover_kernel(

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dirac import WilsonCloverOperator
 from .fields import SpinorField
@@ -268,6 +267,11 @@ class AdaptiveMultigrid:
             e = np.zeros(nc, dtype=complex)
             e[j] = 1.0
             a_c[:, j] = self.restrict(self._matvec(self.prolong(e)))
+        # Imported here: scipy.linalg adds tens of MB of resident memory to
+        # every process that imports the lattice package, and only a
+        # multigrid setup needs it.
+        import scipy.linalg
+
         self._coarse_lu = scipy.linalg.lu_factor(a_c)
         self._coarse_matrix = a_c
 
@@ -316,6 +320,8 @@ class AdaptiveMultigrid:
         """Apply the 2-level preconditioner to a residual vector."""
         e = self._smooth(np.zeros_like(r), r, self.n_pre)
         defect = r - self._matvec(e)
+        import scipy.linalg
+
         coarse = scipy.linalg.lu_solve(self._coarse_lu, self.restrict(defect))
         e = e + self.prolong(coarse)
         return self._smooth(e, r, self.n_post)

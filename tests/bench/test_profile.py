@@ -64,3 +64,23 @@ class TestProfileSolve:
         a = profile_solve((8, 8, 8, 16), "single", n_gpus=2, iterations=2)
         b = profile_solve((8, 8, 8, 16), "single", n_gpus=2, iterations=2)
         assert [(o.name, o.start) for o in a] == [(o.name, o.start) for o in b]
+
+
+class TestHotspotProfile:
+    def test_rank_thread_work_is_attributed(self, monkeypatch):
+        """The solver runs only on SimMPI rank threads; the merged profile
+        must still see it (not just the main thread's wait on it)."""
+        import threading
+
+        from repro.bench.profile import hotspot_profile
+        from repro.service.workers import SimWorker
+
+        # An empty model cache, so the campaign really solves.
+        monkeypatch.setattr(SimWorker, "_model_cache", {})
+        prof = hotspot_profile(32, top=10_000)
+        calls = {
+            r["function"]: r["calls"] for r in prof["hotspots"] if r["calls"] > 0
+        }
+        assert "bicgstab_solve" in calls
+        assert "dslash_with_exchange" in calls
+        assert threading.getprofile() is None  # the thread hook is removed
